@@ -42,21 +42,28 @@ let render_event (e : Serve.event) =
 
 (* A model state is purely functional: [step] returns the specification's
    observation for the operation in that state plus the successor state,
-   and [canon] is an injective string key for memoization. *)
+   and [add_canon] appends an injective rendering of the state to a memo
+   key. *)
 type mstate =
   | Kv_m of (int * int) list  (** assoc sorted by key *)
   | Ledger_m of { bal : int array; head : int; slot_cap : int }
 
-let canon = function
+let add_canon b = function
   | Kv_m assoc ->
-      let b = Buffer.create 32 in
-      List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%d=%d;" k v)) assoc;
-      Buffer.contents b
+      List.iter
+        (fun (k, v) ->
+          Buffer.add_string b (string_of_int k);
+          Buffer.add_char b '=';
+          Buffer.add_string b (string_of_int v);
+          Buffer.add_char b ';')
+        assoc
   | Ledger_m { bal; head; _ } ->
-      let b = Buffer.create 64 in
       Buffer.add_string b (string_of_int head);
-      Array.iter (fun v -> Buffer.add_string b (Printf.sprintf ";%d" v)) bal;
-      Buffer.contents b
+      Array.iter
+        (fun v ->
+          Buffer.add_char b ';';
+          Buffer.add_string b (string_of_int v))
+        bal
 
 (* Sorted-assoc upsert (mirrors Thashmap.put: insert-or-replace). *)
 let rec put k v = function
@@ -132,8 +139,8 @@ let uf_union parent a b =
 (* ------------------------------------------------------------------ *)
 
 (* The pending-request / pending-response multisets of the AsyncSpec
-   construction appear here as the [remaining] set: an event in
-   [remaining] whose invoke has passed is a pending request, one whose
+   construction appear here as the remaining set: a remaining event
+   whose invoke has passed is a pending request, one whose
    linearization point has been chosen moves to the (implicit) response
    multiset and is removed when its response is consumed. Concretely the
    search picks, at every step, one remaining event [o] that is minimal
@@ -144,9 +151,22 @@ let uf_union parent a b =
    Completed events are tried in commit-cycle order: the final attempt's
    commit lies inside the event's [invoke, respond] window, and on
    correct hardware replaying commits in order satisfies the spec, so
-   the first candidate always works and clean histories check in linear
-   time. On lying hardware the search backtracks; memoization over
-   (remaining-set, model-state) and the [budget] bound the blow-up. *)
+   the first candidate always works and a clean history visits one node
+   per event. On lying hardware the search backtracks; memoization over
+   (remaining-set, model-state) and the [budget] bound the blow-up.
+
+   Each node does constant host work on that clean path, apart from one
+   logarithmic tree update. The events sit in an array in commit order;
+   the remaining set is a [removed] flag per event plus the index of the
+   first remaining one (the frontier; [n] once none remain), both undone
+   after each recursive call. The real-time bound [min_resp] is the root
+   of a min segment tree over respond cycles whose removed leaves hold
+   [max_int]: events leave out of order once the search backtracks, so a
+   suffix minimum would not be exact. The memo only ever holds failed
+   nodes, so its key — the exact remaining ids plus the canonical model
+   state, never a hash that could collide and prune a live branch — is
+   built only for a lookup once the memo is non-empty, or for the insert
+   when a node fails. *)
 
 type tri = Lin | Nonlin | Unknown
 
@@ -160,46 +180,83 @@ let ev_obs (e : Serve.event) =
 let ev_commit (e : Serve.event) =
   match e.ev_outcome with Ev_done { commit; _ } -> commit | _ -> max_int
 
-(* [events] must be sorted by commit cycle. [states] counts explored
-   search nodes across calls (shared budget). *)
-let search ~budget ~states ~init events : tri =
+(* [events] must be sorted by commit cycle and carry distinct ids.
+   [states] counts explored search nodes across calls (shared budget);
+   [memo_hits] counts nodes pruned by the memo. *)
+let search ~budget ~states ~memo_hits ~init events : tri =
+  let evs = Array.of_list events in
+  let n = Array.length evs in
+  let obs = Array.map ev_obs evs in
+  let removed = Array.make n false in
+  let leaves =
+    let rec pow2 p = if p >= n then p else pow2 (2 * p) in
+    pow2 1
+  in
+  let tree = Array.make (2 * leaves) max_int in
+  Array.iteri (fun i (e : Serve.event) -> tree.(leaves + i) <- e.ev_respond) evs;
+  for j = leaves - 1 downto 1 do
+    tree.(j) <- min tree.(2 * j) tree.((2 * j) + 1)
+  done;
+  let set_leaf i v =
+    let j = ref (leaves + i) in
+    tree.(!j) <- v;
+    while !j > 1 do
+      j := !j / 2;
+      tree.(!j) <- min tree.(2 * !j) tree.((2 * !j) + 1)
+    done
+  in
+  let rec next_live i = if i < n && removed.(i) then next_live (i + 1) else i in
   let memo : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let key remaining st =
-    let b = Buffer.create 32 in
-    List.iter (fun (e : Serve.event) -> Buffer.add_string b (Printf.sprintf "%d," e.ev_id)) remaining;
+  let key frontier st =
+    let b = Buffer.create 64 in
+    for i = frontier to n - 1 do
+      if not removed.(i) then begin
+        Buffer.add_string b (string_of_int evs.(i).ev_id);
+        Buffer.add_char b ','
+      end
+    done;
     Buffer.add_char b '|';
-    Buffer.add_string b (canon st);
+    add_canon b st;
     Buffer.contents b
   in
-  let rec dfs remaining st =
+  let rec dfs frontier st =
     incr states;
     if !states > budget then raise Out_of_budget;
-    match remaining with
-    | [] -> true
-    | _ ->
-        let k = key remaining st in
-        if Hashtbl.mem memo k then false
-        else begin
-          let min_resp =
-            List.fold_left
-              (fun acc (e : Serve.event) -> min acc e.ev_respond)
-              max_int remaining
+    if frontier = n then true
+    else
+      let k = if Hashtbl.length memo = 0 then None else Some (key frontier st) in
+      match k with
+      | Some k when Hashtbl.mem memo k ->
+          incr memo_hits;
+          false
+      | _ ->
+          let min_resp = tree.(1) in
+          let rec try_from i =
+            i < n
+            && (((not removed.(i))
+                && evs.(i).ev_invoke <= min_resp
+                && take frontier st i)
+               || try_from (i + 1))
           in
-          let ok =
-            List.exists
-              (fun (e : Serve.event) ->
-                e.ev_invoke <= min_resp
-                &&
-                let obs, st' = step st e.ev_op in
-                obs = ev_obs e
-                && dfs (List.filter (fun (o : Serve.event) -> o.ev_id <> e.ev_id) remaining) st')
-              remaining
-          in
-          if not ok then Hashtbl.add memo k ();
+          let ok = try_from frontier in
+          if not ok then
+            Hashtbl.add memo
+              (match k with Some k -> k | None -> key frontier st)
+              ();
           ok
-        end
+  and take frontier st i =
+    let o, st' = step st evs.(i).ev_op in
+    o = obs.(i)
+    && begin
+         removed.(i) <- true;
+         set_leaf i max_int;
+         let ok = dfs (if i = frontier then next_live (i + 1) else frontier) st' in
+         removed.(i) <- false;
+         set_leaf i evs.(i).ev_respond;
+         ok
+       end
   in
-  match dfs events init with
+  match dfs 0 init with
   | true -> Lin
   | false -> Nonlin
   | exception Out_of_budget -> Unknown
@@ -209,8 +266,7 @@ let search ~budget ~states ~init events : tri =
    still fails the search, which is what the shrink property test pins. *)
 let shrink ~budget ~init events =
   let still_bad evs =
-    let states = ref 0 in
-    search ~budget ~states ~init evs = Nonlin
+    search ~budget ~states:(ref 0) ~memo_hits:(ref 0) ~init evs = Nonlin
   in
   let rec go evs =
     let n = List.length evs in
@@ -234,6 +290,7 @@ type verdict = {
   v_absent : int;
   v_groups : int;
   v_states : int;
+  v_memo_hits : int;
   v_ok : bool;
   v_inconclusive : bool;
   v_witness : Serve.event list;
@@ -309,13 +366,13 @@ let check ?(budget = default_budget) ~service ~records ~accounts
         |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
         |> List.map (fun (_, evs, init) -> (evs, init))
   in
-  let states = ref 0 in
+  let states = ref 0 and memo_hits = ref 0 in
   let bad = ref [] (* (events, init) of violating groups *)
   and unknown = ref 0 in
   List.iter
     (fun (evs, init) ->
       if !bad = [] then
-        match search ~budget ~states ~init evs with
+        match search ~budget ~states ~memo_hits ~init evs with
         | Lin -> ()
         | Nonlin -> bad := [ (evs, init) ]
         | Unknown -> incr unknown)
@@ -349,7 +406,8 @@ let check ?(budget = default_budget) ~service ~records ~accounts
     v_absent = absent;
     v_groups = List.length groups;
     v_states = !states;
-    v_ok = ok && !unknown = 0;
+    v_memo_hits = !memo_hits;
+    v_ok = ok;
     v_inconclusive = !unknown > 0;
     v_witness = witness;
     v_detail = detail;

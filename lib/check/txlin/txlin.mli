@@ -28,13 +28,18 @@
       is one group);
     - {b commit-cycle ordering}: candidates are tried in commit order.
       The commit witness satisfies invoke <= commit <= respond, so on
-      correct hardware the first candidate always linearizes and clean
-      histories check in linear time — the search only backtracks when
-      something is actually wrong;
+      correct hardware the first candidate always linearizes — the
+      search only backtracks when something is actually wrong. A clean
+      history visits one search node per event plus one per group, and
+      each node does constant host work apart from an O(log n) update of
+      the remaining events' earliest respond cycle;
     - {b memoization + budget}: failed (remaining-set, spec-state) pairs
       are never re-explored, and a state budget turns pathological
       searches into an explicit {e inconclusive} advisory rather than a
-      hang.
+      hang. The memo key is the exact remaining-id list plus the spec
+      state (never a hash, whose collisions could prune a live branch);
+      it costs O(n) to build, so it is only built once some node has
+      failed.
 
     What the oracle cannot see: effects on locations no committed request
     ever observes (e.g. settlement marks), and anything in a run whose
@@ -53,6 +58,9 @@ type verdict = {
   v_absent : int;  (** shed + timed-out requests (unconstraining) *)
   v_groups : int;  (** independent key groups checked *)
   v_states : int;  (** search nodes explored, all groups *)
+  v_memo_hits : int;
+      (** search nodes pruned because their (remaining-set, spec-state)
+          pair had already failed; [0] on a clean history *)
   v_ok : bool;  (** linearizable (conclusively) *)
   v_inconclusive : bool;
       (** some group exceeded the state budget; [v_ok] is [false] but no

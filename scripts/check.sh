@@ -47,26 +47,31 @@ dune build @lin-smoke
 
 # Oracle negative fixtures: each of these runs a deliberately broken
 # stack (a seeded lost-update fault plan, conflict resolution disabled,
-# rollback-on-abort disabled) and MUST exit non-zero with a conclusive
-# non-linearizable verdict; a zero exit means the oracle went blind.
-echo "lin negative fixture: kv-f / lostupdate plan"
-if "$BENCH" serve --service kv-f -t 4 -n 300 --gap 200 --records 4 \
-    --faults lostupdate --faults-seed 3 --check=lin > /dev/null 2>&1; then
-  echo "check.sh: lin lostupdate fixture FAILED to report a violation" >&2
-  exit 1
-fi
-echo "lin negative fixture: kv-f / --ablate rollback"
-if "$BENCH" serve --service kv-f -t 4 -n 300 --gap 200 --records 4 \
-    --ablate rollback --check=lin > /dev/null 2>&1; then
-  echo "check.sh: lin rollback fixture FAILED to report a violation" >&2
-  exit 1
-fi
-echo "lin negative fixture: kv-f / --ablate resolve"
-if "$BENCH" serve --service kv-f -t 4 -n 400 --gap 60 --records 2 \
-    --ablate resolve --check=lin > /dev/null 2>&1; then
-  echo "check.sh: lin resolve fixture FAILED to report a violation" >&2
-  exit 1
-fi
+# rollback-on-abort disabled) and MUST end with the oracle's verdict:
+# exit status exactly 1 and a non-linearizable line in the output. Any
+# other status — 0 (the oracle went blind), 2 (usage error), 3 (livelock
+# watchdog) or a crash — fails the build.
+lin_negative() {
+  name=$1
+  shift
+  echo "lin negative fixture: kv-f / $name"
+  out=$(mktemp)
+  status=0
+  "$BENCH" serve "$@" --check=lin > "$out" 2>&1 || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "non-linearizable" "$out"; then
+    echo "check.sh: lin $name fixture did not report a violation (exit $status)" >&2
+    cat "$out" >&2
+    rm -f "$out"
+    exit 1
+  fi
+  rm -f "$out"
+}
+lin_negative "lostupdate plan" --service kv-f -t 4 -n 300 --gap 200 \
+  --records 4 --faults lostupdate --faults-seed 3
+lin_negative "--ablate rollback" --service kv-f -t 4 -n 300 --gap 200 \
+  --records 4 --ablate rollback
+lin_negative "--ablate resolve" --service kv-f -t 4 -n 400 --gap 60 \
+  --records 2 --ablate resolve
 
 # Benchmark-harness smoke: the quick reproduction at --jobs 2, with the
 # harness asserting that the parallel pass is bit-identical to the

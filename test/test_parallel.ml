@@ -140,13 +140,19 @@ let test_trace_forces_sequential () =
    available, --jobs 2 must beat sequential on embarrassingly parallel
    work; on a single-core host (CI containers, where Domain.
    recommended_domain_count() = 1) winning is physically impossible, so
-   the assertion degrades to a bound on the pool's own overhead. *)
+   the assertion degrades to a bound on the pool's own overhead.
+
+   The fixture is ~0.25 s of sequential arithmetic (8 cells x 20M steps)
+   so that scheduling noise from the other test executables sharing the
+   host stays small against it, and each side is the minimum of three
+   interleaved timings: a run that lost its CPU for a while does not
+   decide the comparison. *)
 let test_pool_speedup_smoke () =
   with_pool (fun () ->
       let cells = 8 in
       let work i =
         let acc = ref i in
-        for k = 1 to 2_000_000 do
+        for k = 1 to 20_000_000 do
           acc := (!acc + (k * k)) lxor (!acc lsr 3)
         done;
         !acc
@@ -157,10 +163,22 @@ let test_pool_speedup_smoke () =
         let r = Parallel.run_thunks ~jobs thunks in
         (Unix.gettimeofday () -. t0, r)
       in
-      ignore (time 1 : float * int array) (* warm-up *);
-      let seq, rs = time 1 in
-      let par, rp = time 2 in
-      Alcotest.(check bool) "parallel results identical" true (rs = rp);
+      let rounds =
+        List.init 3 (fun _ ->
+            let s = time 1 in
+            let p = time 2 in
+            (s, p))
+      in
+      let best side =
+        List.fold_left (fun acc r -> Float.min acc (fst (side r))) infinity rounds
+      in
+      let seq = best fst and par = best snd in
+      let rs = snd (fst (List.hd rounds)) in
+      List.iter
+        (fun ((_, r1), (_, r2)) ->
+          Alcotest.(check bool) "parallel results identical" true
+            (r1 = rs && r2 = rs))
+        rounds;
       if Parallel.available () >= 2 then begin
         if par >= seq then
           Alcotest.failf "--jobs 2 did not win: %.3fs vs %.3fs sequential" par

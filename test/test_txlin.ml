@@ -1,12 +1,15 @@
 (* Tests for Txlin, the async linearizability oracle: clean acceptance
    on every service at underload and 2.5x overload (all arrival
-   processes, with and without a fault storm), the linear-time clean
-   path, negative fixtures against broken-hardware ablations and the
-   seeded lost-update plan (each must yield a conclusive violation with
-   a 1-minimal witness), a QCheck battery comparing the oracle against
-   an independent brute-force all-permutations reference on small
-   histories, the hoisted partition finding, and the record-on/off
-   byte-identity of everything the run reports. *)
+   processes, with and without a fault storm), the one-node-per-event
+   clean path (also on a 5000-request ledger history), negative fixtures
+   against broken-hardware ablations and the seeded lost-update plan
+   (each must yield a conclusive violation with a 1-minimal witness, and
+   the search's node count and witness are pinned), QCheck batteries
+   comparing the oracle against an independent brute-force
+   all-permutations reference on small histories — random ones and ones
+   built to force backtracking through the memo — the hoisted partition
+   finding, and the record-on/off byte-identity of everything the run
+   reports. *)
 
 module Params = Asf_machine.Params
 module Variant = Asf_core.Variant
@@ -160,9 +163,9 @@ let test_clean_under_storm () =
     [ Serve.Kv Serve.E; Serve.Ledger ]
 
 (* The commit-cycle witness (invoke <= commit <= respond) and the
-   linear-time clean path it buys: trying candidates in commit order
-   means a correct run linearizes greedily, exploring exactly one search
-   node per event plus one terminal node per group. *)
+   linear clean path it buys: trying candidates in commit order means a
+   correct run linearizes greedily, exploring exactly one search node
+   per event plus one terminal node per group. *)
 let test_commit_witness_and_linear_clean_path () =
   let tm = tm_cfg ~seed:13 () in
   let cfg =
@@ -188,6 +191,30 @@ let test_commit_witness_and_linear_clean_path () =
   Alcotest.(check bool) "clean" true v.Txlin.v_ok;
   Alcotest.(check int) "one group (ledger)" 1 v.Txlin.v_groups;
   Alcotest.(check int) "linear-time clean search"
+    (v.Txlin.v_obligations + v.Txlin.v_groups)
+    v.Txlin.v_states;
+  Alcotest.(check int) "clean search never consults the memo" 0
+    v.Txlin.v_memo_hits
+
+(* A long clean ledger history is still one node per event plus one
+   terminal node: the first candidate in commit order always
+   linearizes. *)
+let test_long_clean_ledger () =
+  let tm = tm_cfg ~seed:19 () in
+  let cfg =
+    {
+      (Serve.default_cfg Serve.Ledger) with
+      Serve.requests = 5000;
+      arrival = Serve.Closed;
+      deadline = None;
+      governor = false;
+      record = true;
+    }
+  in
+  let v = check_run cfg (Serve.run tm ~threads:4 cfg) in
+  Alcotest.(check bool) "clean" true v.Txlin.v_ok;
+  Alcotest.(check int) "every request committed" 5000 v.Txlin.v_obligations;
+  Alcotest.(check int) "one node per event plus one per group"
     (v.Txlin.v_obligations + v.Txlin.v_groups)
     v.Txlin.v_states
 
@@ -246,27 +273,20 @@ let hot_kv ~requests ~gap ~records =
     record = true;
   }
 
-let test_ablation_rollback_caught () =
+(* The three kv-f negative fixtures of scripts/check.sh, with the same
+   arguments as its `serve --check=lin` runs. Each returns the config and
+   the verdict. *)
+let rollback_fixture () =
   let tm = tm_cfg ~rollback:false () in
   let cfg = hot_kv ~requests:300 ~gap:200 ~records:4 in
-  let r = Serve.run tm ~threads:4 cfg in
-  let v = check_run cfg r in
-  Alcotest.(check bool) "rollback ablation is a conclusive violation" true
-    (conclusive_violation v);
-  assert_minimal_witness ~service:cfg.Serve.service ~records:cfg.Serve.records
-    ~accounts:cfg.Serve.accounts v
+  (cfg, check_run cfg (Serve.run tm ~threads:4 cfg))
 
-let test_ablation_resolve_caught () =
+let resolve_fixture () =
   let tm = tm_cfg ~resolve:false () in
   let cfg = hot_kv ~requests:400 ~gap:60 ~records:2 in
-  let r = Serve.run tm ~threads:4 cfg in
-  let v = check_run cfg r in
-  Alcotest.(check bool) "resolve ablation is a conclusive violation" true
-    (conclusive_violation v);
-  assert_minimal_witness ~service:cfg.Serve.service ~records:cfg.Serve.records
-    ~accounts:cfg.Serve.accounts v
+  (cfg, check_run cfg (Serve.run tm ~threads:4 cfg))
 
-let test_lost_update_plan_caught () =
+let lost_update_fixture () =
   let plan =
     match Faults.plan_of_spec "lostupdate" with
     | Ok p -> p
@@ -279,11 +299,46 @@ let test_lost_update_plan_caught () =
   let r =
     Fun.protect ~finally:Faults.uninstall (fun () -> Serve.run tm ~threads:4 cfg)
   in
-  let v = check_run cfg r in
+  (cfg, check_run cfg r)
+
+let test_ablation_rollback_caught () =
+  let cfg, v = rollback_fixture () in
+  Alcotest.(check bool) "rollback ablation is a conclusive violation" true
+    (conclusive_violation v);
+  assert_minimal_witness ~service:cfg.Serve.service ~records:cfg.Serve.records
+    ~accounts:cfg.Serve.accounts v
+
+let test_ablation_resolve_caught () =
+  let cfg, v = resolve_fixture () in
+  Alcotest.(check bool) "resolve ablation is a conclusive violation" true
+    (conclusive_violation v);
+  assert_minimal_witness ~service:cfg.Serve.service ~records:cfg.Serve.records
+    ~accounts:cfg.Serve.accounts v
+
+let test_lost_update_plan_caught () =
+  let cfg, v = lost_update_fixture () in
   Alcotest.(check bool) "seeded lost update is a conclusive violation" true
     (conclusive_violation v);
   assert_minimal_witness ~service:cfg.Serve.service ~records:cfg.Serve.records
     ~accounts:cfg.Serve.accounts v
+
+(* The search itself, pinned: the exact node count and witness of each
+   fixture. Candidate order, memoization, budget accounting and shrink
+   all feed these numbers, so any change to how the search walks shows
+   up here even when the verdict stays the same. *)
+let test_fixture_search_pinned () =
+  List.iter
+    (fun (name, fixture, states, witness) ->
+      let _, v = fixture () in
+      Alcotest.(check int) (name ^ ": search nodes") states v.Txlin.v_states;
+      Alcotest.(check (list int))
+        (name ^ ": witness ids") witness
+        (List.map (fun (e : Serve.event) -> e.Serve.ev_id) v.Txlin.v_witness))
+    [
+      ("lostupdate seed 3", lost_update_fixture, 213, [ 299 ]);
+      ("ablate rollback", rollback_fixture, 43, [ 296 ]);
+      ("ablate resolve", resolve_fixture, 63, [ 399 ]);
+    ]
 
 (* Findings plumbing for the three failure shapes. *)
 let test_findings_shapes () =
@@ -503,6 +558,103 @@ let prop_witness_is_violating =
                  .Txlin.v_ok)
              (List.init (Array.length witness) Fun.id))
 
+(* Histories built to make the search backtrack: every window overlaps
+   most others, the observations come from replaying a random
+   linearization (a point drawn inside each window), the recorded
+   commit cycle is a different point of the window — so commit order
+   is usually not a valid order — and exactly one read or rmw then
+   reports a wrong value. Linearizable or not, the search has to walk
+   many orders of the overlapping events, and orders that commute reach
+   the same (remaining-set, state) pair: the memo's territory. *)
+let gen_backtracking =
+  QCheck.Gen.(
+    let gen_op =
+      oneof
+        [
+          map (fun k -> Serve.Read k) (int_range 0 1);
+          map2 (fun k v -> Serve.Update (k, v)) (int_range 0 1) (int_range 0 2);
+          map (fun k -> Serve.Rmw k) (int_range 0 1);
+        ]
+    in
+    let gen_slot =
+      let* op = gen_op in
+      let* invoke = int_range 0 40 in
+      let* dur = int_range 20 50 in
+      let* lin = int_range 0 dur in
+      let* commit = int_range 0 dur in
+      return (op, invoke, dur, invoke + lin, invoke + commit)
+    in
+    let* slots = list_size (int_range 3 6) gen_slot in
+    let slots = List.mapi (fun i s -> (i, s)) slots in
+    let by_lin =
+      List.sort
+        (fun (i, (_, _, _, l1, _)) (j, (_, _, _, l2, _)) -> compare (l1, i) (l2, j))
+        slots
+    in
+    let _, obs =
+      List.fold_left
+        (fun (assoc, acc) (i, (op, _, _, _, _)) ->
+          let o, assoc' = ref_step assoc op in
+          (assoc', (i, o) :: acc))
+        (ref_init 2, [])
+        by_lin
+    in
+    let observing =
+      List.filter_map
+        (fun (i, (op, _, _, _, _)) ->
+          match op with Serve.Read _ | Serve.Rmw _ -> Some i | _ -> None)
+        slots
+    in
+    let* wrong =
+      if observing = [] then return (-1) else oneofl observing
+    in
+    let* delta = int_range 1 3 in
+    let corrupt = function
+      | Serve.O_val None -> Serve.O_val (Some delta)
+      | Serve.O_val (Some v) -> Serve.O_val (Some (v + delta))
+      | Serve.O_rmw v -> Serve.O_rmw (v + delta)
+      | o -> o
+    in
+    return
+      (Array.of_list
+         (List.map
+            (fun (i, (op, invoke, dur, _, commit)) ->
+              let o = List.assoc i obs in
+              {
+                Serve.ev_id = i;
+                ev_op = op;
+                ev_invoke = invoke;
+                ev_respond = invoke + dur;
+                ev_outcome =
+                  Serve.Ev_done { obs = (if i = wrong then corrupt o else o); commit };
+              })
+            slots)))
+
+(* Agreement with the brute-force reference on those histories, plus
+   evidence that they really exercise backtracking and the memo (fixed
+   QCheck seed, so the tallies are reproducible). *)
+let test_backtracking_matches_brute_force () =
+  let backtracked = ref 0 and memo_hits = ref 0 in
+  let prop =
+    QCheck.Test.make ~count:300
+      ~name:"txlin: backtracking verdict agrees with brute-force reference"
+      (QCheck.make ~print:print_history gen_backtracking)
+      (fun evs ->
+        let v =
+          Txlin.check ~service:(Serve.Kv Serve.A) ~records:2 ~accounts:4 evs
+        in
+        if v.Txlin.v_inconclusive then QCheck.assume_fail ()
+        else begin
+          if v.Txlin.v_states > v.Txlin.v_obligations + v.Txlin.v_groups then
+            incr backtracked;
+          memo_hits := !memo_hits + v.Txlin.v_memo_hits;
+          v.Txlin.v_ok = brute_linearizable ~records:2 evs
+        end)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 13 |]) prop;
+  Alcotest.(check bool) "some histories backtrack" true (!backtracked > 0);
+  Alcotest.(check bool) "the memo prunes some nodes" true (!memo_hits > 0)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -519,6 +671,8 @@ let () =
           Alcotest.test_case "fault storm" `Quick test_clean_under_storm;
           Alcotest.test_case "commit witness + linear clean path" `Quick
             test_commit_witness_and_linear_clean_path;
+          Alcotest.test_case "5000-request ledger, linear clean path" `Quick
+            test_long_clean_ledger;
           Alcotest.test_case "record on/off identity" `Quick
             test_record_on_off_identity;
         ] );
@@ -532,10 +686,14 @@ let () =
             test_lost_update_plan_caught;
           Alcotest.test_case "findings shapes" `Quick test_findings_shapes;
           Alcotest.test_case "partition finding" `Quick test_partition_finding;
+          Alcotest.test_case "fixture search pinned" `Quick
+            test_fixture_search_pinned;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_oracle_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_witness_is_violating;
+          Alcotest.test_case "backtracking histories vs brute force" `Quick
+            test_backtracking_matches_brute_force;
         ] );
     ]
