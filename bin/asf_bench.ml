@@ -897,7 +897,9 @@ let jobs_arg =
               $(docv); $(b,--jobs 1) is the fully sequential path, and \
               $(b,--trace) forces it.")
 
-let repro_cmd =
+(* The `repro` term, shared by the `repro` subcommand and the default
+   (no subcommand) invocation. *)
+let repro_term =
   let ids =
     Arg.(value & opt_all string []
          & info [ "e"; "experiment" ] ~docv:"ID" ~doc:"Experiment to run (repeatable).")
@@ -909,12 +911,13 @@ let repro_cmd =
          & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as DIR/<id>.csv.")
   in
   let list = Arg.(value & flag & info [ "list" ] ~doc:"List experiments and exit.") in
-  Cmd.v
-    (Cmd.info "repro" ~doc:"Reproduce the paper's tables and figures")
-    Term.(
-      const repro $ ids $ all $ quick $ seed_arg $ csv $ list $ trace_arg
-      $ trace_filter_arg $ check_arg $ check_json_arg $ faults_arg $ faults_seed_arg
-      $ jobs_arg)
+  Term.(
+    const repro $ ids $ all $ quick $ seed_arg $ csv $ list $ trace_arg
+    $ trace_filter_arg $ check_arg $ check_json_arg $ faults_arg $ faults_seed_arg
+    $ jobs_arg)
+
+let repro_cmd =
+  Cmd.v (Cmd.info "repro" ~doc:"Reproduce the paper's tables and figures") repro_term
 
 let intset_cmd =
   let structure =
@@ -1073,20 +1076,7 @@ let main_cmd =
      Complete Transactional Memory Stack' (EuroSys 2010)"
   in
   Cmd.group
-    ~default:
-      Term.(
-        const (fun ids all quick seed csv list trace tfilter check cjson faults fseed
-                   jobs ->
-            repro ids all quick seed csv list trace tfilter check cjson faults fseed
-              jobs)
-        $ Arg.(value & opt_all string [] & info [ "e"; "experiment" ] ~docv:"ID")
-        $ Arg.(value & flag & info [ "all" ])
-        $ Arg.(value & flag & info [ "quick" ])
-        $ seed_arg
-        $ Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR")
-        $ Arg.(value & flag & info [ "list" ])
-        $ trace_arg $ trace_filter_arg $ check_arg $ check_json_arg $ faults_arg
-        $ faults_seed_arg $ jobs_arg)
+    ~default:repro_term
     (Cmd.info "asf_bench" ~doc)
     [ repro_cmd; intset_cmd; stamp_cmd; analyze_cmd; serve_cmd ]
 

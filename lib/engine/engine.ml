@@ -28,11 +28,6 @@ type t = {
      Elapse through the enqueue/pop round-trip (the reference
      scheduler). *)
   always_schedule : bool;
-  (* Lookahead window bound: a cached lower bound on the queue minimum
-     (exact right after a pop, only lowered by enqueues), so a run of
-     consecutive elapses fuses against one cached int — the queue itself
-     is never consulted between scheduling events. *)
-  mutable lookahead : int;
   mutable fused : int;
   mutable scheduled : int;
   mutable heap_hwm : int;
@@ -58,30 +53,17 @@ let sched_counters () =
 let running_key : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* Scheduler-queue override for acceptance runs: ASF_PQUEUE=heap (or
-   calendar) forces one representation for any existing binary, the same
-   way ASF_ALWAYS_SCHEDULE forces the reference scheduler. Results are
-   bit-identical either way — that is the Pqueue contract the model
-   battery pins. *)
-let default_pqueue =
-  match Sys.getenv_opt "ASF_PQUEUE" with
-  | Some "heap" -> Pqueue.Heap
-  | Some "calendar" -> Pqueue.Calendar
-  | Some ("auto" | "") | None -> Pqueue.Auto
-  | Some v -> invalid_arg ("ASF_PQUEUE: unknown queue policy " ^ v)
-
-let create ?(always_schedule = false) ?(pqueue = default_pqueue) ~n_cores () =
+let create ?(always_schedule = false) ~n_cores () =
   if n_cores <= 0 then invalid_arg "Engine.create: n_cores must be positive";
   {
     n_cores;
     core_time = Array.make n_cores 0;
-    heap = Pqueue.create ~policy:pqueue ();
+    heap = Pqueue.create ();
     seq = 0;
     live = 0;
     current = 0;
     events = 0;
     always_schedule;
-    lookahead = max_int;
     fused = 0;
     scheduled = 0;
     heap_hwm = 0;
@@ -94,7 +76,6 @@ let n_cores t = t.n_cores
 let enqueue t ~time task =
   t.seq <- t.seq + 1;
   Pqueue.push t.heap ~time ~seq:t.seq task;
-  if time < t.lookahead then t.lookahead <- time;
   let len = Pqueue.length t.heap in
   if len > t.heap_hwm then t.heap_hwm <- len
 
@@ -130,13 +111,10 @@ let spawn_at t ~core ~time f =
    On a time tie the queued entry's smaller sequence number wins, so the
    strict [<] is exactly the fusion-legality condition.
 
-   The comparison is against [t.lookahead], the cached lookahead-window
-   bound: exact right after the scheduler pops, and only ever lowered by
-   enqueues in between, so it never exceeds the true queue minimum and a
-   fused elapse stays legal. A core's run of consecutive elapses batches
-   under one cached bound without touching the queue at all — which also
-   keeps the fused path O(1) when the calendar regime (whose min lookup
-   is amortized, not worst-case, constant) is active. *)
+   The comparison reads the queue minimum directly: the heap keeps it at
+   the root, so the probe is one array load, and a core's run of
+   consecutive elapses fuses against that same root until a scheduling
+   event changes it. *)
 let elapse n =
   match !(Domain.DLS.get running_key) with
   | Some t when not t.always_schedule ->
@@ -145,7 +123,7 @@ let elapse n =
       let ct = t.core_time.(core) in
       if ct > max_int - n then invalid_arg "Engine.elapse: core clock overflow";
       let nt = ct + n in
-      if nt < t.lookahead then begin
+      if nt < Pqueue.min_time t.heap then begin
         t.core_time.(core) <- nt;
         t.counters.c_retired <- t.counters.c_retired + n;
         t.counters.c_fused <- t.counters.c_fused + 1;
@@ -193,9 +171,6 @@ let run t =
       while not (Pqueue.is_empty t.heap) do
         let time = Pqueue.min_time t.heap in
         let task = Pqueue.drop_min t.heap in
-        (* Open the next lookahead window: the popped task is about to
-           run, so the fusion bound becomes the new queue minimum. *)
-        t.lookahead <- Pqueue.min_time t.heap;
         t.events <- t.events + 1;
         match task with
         | Start (core, f) ->

@@ -13,47 +13,57 @@ module Trace = Asf_trace.Trace
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Drains [q] with the scheduler's own [min_time] + [drop_min] pair,
+   returning [(time, payload)] in pop order. *)
+let drain q =
+  let out = ref [] in
+  while not (Pqueue.is_empty q) do
+    let t = Pqueue.min_time q in
+    out := (t, Pqueue.drop_min q) :: !out
+  done;
+  List.rev !out
+
 let test_pqueue_order () =
   let q = Pqueue.create () in
   Pqueue.push q ~time:5 ~seq:1 "a";
   Pqueue.push q ~time:3 ~seq:2 "b";
   Pqueue.push q ~time:5 ~seq:0 "c";
   Pqueue.push q ~time:1 ~seq:9 "d";
-  let order = List.init 4 (fun _ -> let _, _, v = Pqueue.pop q in v) in
+  let order = List.map snd (drain q) in
   Alcotest.(check (list string)) "min (time,seq) first" [ "d"; "b"; "c"; "a" ] order;
   Alcotest.(check bool) "empty after draining" true (Pqueue.is_empty q)
 
 let test_pqueue_peek_drop () =
   let q = Pqueue.create () in
-  Alcotest.(check (option (pair int int))) "peek empty" None (Pqueue.peek_key q);
   Alcotest.(check int) "min_time empty" max_int (Pqueue.min_time q);
   Pqueue.push q ~time:5 ~seq:2 "a";
   Pqueue.push q ~time:5 ~seq:1 "b";
   Pqueue.push q ~time:9 ~seq:0 "c";
-  Alcotest.(check (option (pair int int)))
-    "min key: earliest time, then smallest seq" (Some (5, 1))
-    (Pqueue.peek_key q);
   Alcotest.(check int) "min_time" 5 (Pqueue.min_time q);
-  Alcotest.(check string) "drop_min returns the payload" "b" (Pqueue.drop_min q);
-  Alcotest.(check (option (pair int int))) "next key" (Some (5, 2)) (Pqueue.peek_key q);
+  Alcotest.(check int) "length" 3 (Pqueue.length q);
+  Alcotest.(check string) "drop_min: earliest time, then smallest seq" "b"
+    (Pqueue.drop_min q);
+  Alcotest.(check int) "next min_time" 5 (Pqueue.min_time q);
   Alcotest.(check string) "second" "a" (Pqueue.drop_min q);
+  Alcotest.(check int) "last min_time" 9 (Pqueue.min_time q);
   Alcotest.(check string) "last" "c" (Pqueue.drop_min q);
-  Alcotest.(check bool) "empty after draining" true (Pqueue.is_empty q)
+  Alcotest.(check bool) "empty after draining" true (Pqueue.is_empty q);
+  Alcotest.(check int) "min_time drained" max_int (Pqueue.min_time q)
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing key order" ~count:200
     QCheck.(list (pair small_nat small_nat))
     (fun pairs ->
       let q = Pqueue.create () in
-      List.iteri (fun i (t, s) -> Pqueue.push q ~time:t ~seq:((s * 1000) + i) ()) pairs;
-      let prev = ref (-1, -1) in
-      let ok = ref true in
-      while not (Pqueue.is_empty q) do
-        let t, s, () = Pqueue.pop q in
-        if (t, s) < !prev then ok := false;
-        prev := (t, s)
-      done;
-      !ok)
+      List.iteri
+        (fun i (t, s) ->
+          let seq = (s * 1000) + i in
+          Pqueue.push q ~time:t ~seq (t, seq))
+        pairs;
+      let popped = drain q in
+      let keys = List.map snd popped in
+      List.for_all (fun (t, (t', _)) -> t = t') popped
+      && keys = List.sort compare keys)
 
 let test_pqueue_negative_time_rejected () =
   let q = Pqueue.create () in
@@ -61,16 +71,21 @@ let test_pqueue_negative_time_rejected () =
     (Invalid_argument "Pqueue.push: negative time") (fun () ->
       Pqueue.push q ~time:(-1) ~seq:0 ())
 
-(* Calendar-vs-heap model battery: the same operation sequence, run under
-   every policy, must produce the identical (time, seq, payload) pop
-   sequence — and match a sorted-list reference model — across event-time
-   distributions chosen to hit every calendar path: dense (many events
-   per day), sparse (day gaps wide enough for the direct-search
-   fallback), clustered (every event in one bucket — the pathological
-   distribution Auto must refuse and Calendar must survive), and a
-   near-monotone ramp (the scheduler's own shape). Sequences are long
-   enough that Auto crosses the engage threshold and drains back, so the
-   heap->calendar->heap transitions run under the comparison too. *)
+let test_pqueue_drop_min_empty_rejected () =
+  let q : unit Pqueue.t = Pqueue.create () in
+  Alcotest.check_raises "drop_min on empty"
+    (Invalid_argument "Pqueue.drop_min: empty") (fun () -> Pqueue.drop_min q);
+  Pqueue.push q ~time:0 ~seq:0 ();
+  Pqueue.drop_min q;
+  Alcotest.check_raises "drop_min on drained"
+    (Invalid_argument "Pqueue.drop_min: empty") (fun () -> Pqueue.drop_min q)
+
+(* Model battery: an operation sequence must pop exactly what a
+   sorted-list reference model pops, across four event-time
+   distributions — dense (many ties), sparse (huge gaps), clustered
+   (every event at one time, so only the seq orders them) and a
+   near-monotone ramp (the scheduler's own shape). The payload carries
+   the seq, so the (time, seq) order is checked in full. *)
 let pqueue_ops_gen =
   QCheck.Gen.(
     int_range 0 3 >>= fun dist ->
@@ -87,11 +102,11 @@ let pqueue_dist_time dist prev t =
   match dist with
   | 0 -> t mod 97 (* dense *)
   | 1 -> t * 1_000_003 (* sparse *)
-  | 2 -> 42 (* clustered / pathological *)
+  | 2 -> 42 (* clustered *)
   | _ -> prev + (t mod 7) (* ramp *)
 
-let run_pqueue_ops policy (dist, ops) =
-  let q = Pqueue.create ~policy () in
+let run_pqueue_ops (dist, ops) =
+  let q = Pqueue.create () in
   let out = ref [] in
   let seq = ref 0 in
   let prev = ref 0 in
@@ -104,16 +119,12 @@ let run_pqueue_ops policy (dist, ops) =
           Pqueue.push q ~time ~seq:!seq !seq
       | `Pop ->
           if not (Pqueue.is_empty q) then begin
-            let mt = Pqueue.min_time q in
-            let ((t, _, _) as e) = Pqueue.pop q in
-            (* min_time must agree with the element pop then returns. *)
-            out := (if mt = t then e else (-1, -1, -1)) :: !out
+            let t = Pqueue.min_time q in
+            let s = Pqueue.drop_min q in
+            out := (t, s, s) :: !out
           end)
     ops;
-  while not (Pqueue.is_empty q) do
-    out := Pqueue.pop q :: !out
-  done;
-  List.rev !out
+  List.rev_append !out (List.map (fun (t, s) -> (t, s, s)) (drain q))
 
 let run_pqueue_model (dist, ops) =
   let live = ref [] in
@@ -136,48 +147,37 @@ let run_pqueue_model (dist, ops) =
     ops;
   List.rev !out @ List.sort compare !live
 
-let prop_pqueue_policies_agree =
-  QCheck.Test.make
-    ~name:"heap, calendar and auto pop identical sequences (model battery)"
+let prop_pqueue_matches_model =
+  QCheck.Test.make ~name:"heap pops what the sorted-list model pops"
     ~count:120
     (QCheck.make ~print:print_pqueue_ops pqueue_ops_gen)
-    (fun ops ->
-      let reference = run_pqueue_model ops in
-      List.for_all
-        (fun policy -> run_pqueue_ops policy ops = reference)
-        [ Pqueue.Heap; Pqueue.Calendar; Pqueue.Auto ])
+    (fun ops -> run_pqueue_ops ops = run_pqueue_model ops)
 
 (* Liveness regression for the vacated-slot fix: after popping every
    element, the queue may pin at most one payload (the dummy captured
    from the first push) — popped continuations must not stay reachable
-   from the internal arrays. The population crosses the Auto engage
-   threshold, so heap slots, calendar buckets and both regime
-   transitions are all covered. *)
+   from the internal arrays. *)
 let test_pqueue_vacate_liveness () =
-  List.iter
-    (fun (name, policy) ->
-      let n = 300 in
-      let w = Weak.create n in
-      let q = Pqueue.create ~policy () in
-      for i = 0 to n - 1 do
-        let v = ref i in
-        Weak.set w i (Some v);
-        Pqueue.push q ~time:(i * 3) ~seq:i v
-      done;
-      let sink = ref (ref (-1)) in
-      for _ = 1 to n do
-        sink := Pqueue.drop_min q
-      done;
-      sink := ref (-1);
-      Gc.full_major ();
-      let live = ref 0 in
-      for i = 0 to n - 1 do
-        if Weak.check w i then incr live
-      done;
-      if !live > 1 then
-        Alcotest.failf "%s: %d popped payloads still reachable (allowed: 1)"
-          name !live)
-    [ ("heap", Pqueue.Heap); ("calendar", Pqueue.Calendar); ("auto", Pqueue.Auto) ]
+  let n = 300 in
+  let w = Weak.create n in
+  let q = Pqueue.create () in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set w i (Some v);
+    Pqueue.push q ~time:(i * 3) ~seq:i v
+  done;
+  let sink = ref (ref (-1)) in
+  for _ = 1 to n do
+    sink := Pqueue.drop_min q
+  done;
+  sink := ref (-1);
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr live
+  done;
+  if !live > 1 then
+    Alcotest.failf "%d popped payloads still reachable (allowed: 1)" !live
 
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
@@ -477,8 +477,8 @@ let test_engine_heap_high_water () =
     (Engine.heap_high_water e)
 
 (* The lookahead window: with the nearest competing event 50k cycles
-   out, a core's long run of unit elapses must batch on the cached bound
-   — every one fused, no queue traffic — and still agree with the
+   out, a core's long run of unit elapses must fuse against the queue
+   minimum — every one fused, no queue traffic — and still agree with the
    always-schedule reference on clocks and event counts. *)
 let test_engine_lookahead_window () =
   let run always_schedule =
@@ -510,11 +510,11 @@ let test_engine_lookahead_window () =
    emitted trace stream (resume/spawn/finish kinds included, which the
    default filter would hide). *)
 
-let run_program ?pqueue ~always_schedule (n_cores, threads) =
+let run_program ~always_schedule (n_cores, threads) =
   let tracer = Trace.create ~filter:[ "resume"; "spawn"; "finish" ] () in
   Trace.install tracer;
   Fun.protect ~finally:Trace.uninstall (fun () ->
-      let e = Engine.create ?pqueue ~always_schedule ~n_cores () in
+      let e = Engine.create ~always_schedule ~n_cores () in
       let log = ref [] in
       List.iteri
         (fun id (core, delays) ->
@@ -568,22 +568,6 @@ let prop_fusion_equivalent =
       else if trace_f <> trace_r then
         QCheck.Test.fail_report "trace streams differ"
       else true)
-
-(* Scheduler-queue equivalence (QCheck): the queue representation must be
-   unobservable from the engine — a forced-calendar run matches a
-   forced-heap run on log, clocks, events and trace, both with fusion on
-   (the production path) and with every elapse through the queue (which
-   maximizes queue traffic). *)
-let prop_pqueue_policy_equivalent =
-  QCheck.Test.make ~name:"calendar-queue engine matches heap engine"
-    ~count:150
-    (QCheck.make ~print:print_program program_gen)
-    (fun p ->
-      List.for_all
-        (fun always_schedule ->
-          run_program ~pqueue:Pqueue.Heap ~always_schedule p
-          = run_program ~pqueue:Pqueue.Calendar ~always_schedule p)
-        [ false; true ])
 
 (* ------------------------------------------------------------------ *)
 (* Addr                                                                *)
@@ -694,9 +678,11 @@ let () =
           Alcotest.test_case "peek/drop" `Quick test_pqueue_peek_drop;
           Alcotest.test_case "negative time" `Quick
             test_pqueue_negative_time_rejected;
+          Alcotest.test_case "drop_min empty" `Quick
+            test_pqueue_drop_min_empty_rejected;
           Alcotest.test_case "vacated slots" `Quick test_pqueue_vacate_liveness;
           q prop_pqueue_sorted;
-          q prop_pqueue_policies_agree;
+          q prop_pqueue_matches_model;
         ] );
       ( "prng",
         [
@@ -732,7 +718,6 @@ let () =
           Alcotest.test_case "lookahead window" `Quick
             test_engine_lookahead_window;
           q prop_fusion_equivalent;
-          q prop_pqueue_policy_equivalent;
         ] );
       ("addr", [ Alcotest.test_case "arithmetic" `Quick test_addr_arithmetic ]);
       ( "ram",
